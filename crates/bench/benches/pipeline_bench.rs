@@ -50,9 +50,11 @@ fn bench_working_buffer_assembly(c: &mut Criterion) {
         })
         .collect();
     let refs: Vec<&QuantizedBlob> = blobs.iter().collect();
+    let slices: Vec<usize> = (0..cfg.heads).collect();
+    let resident = &model.layers()[0].resident;
     let mut wb = WorkingBuffer::new(cfg);
     c.bench_function("working_buffer_assemble_layer", |b| {
-        b.iter(|| wb.assemble(&refs).expect("assembly succeeds"))
+        b.iter(|| wb.assemble(&refs, &slices, resident).expect("assembly succeeds"))
     });
     // Preload buffer admission cost for context.
     let mut pb = PreloadBuffer::new(1 << 30);

@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks for the planner: the paper stresses that
 //! compute planning enumerates a constant 144 pairs and the whole two-stage
-//! plan is cheap enough to re-run whenever T or |S| changes.
+//! plan is cheap enough to re-run whenever T or |S| changes. The offline
+//! importance profile (§5.2) is benchmarked on the full 12×12 grid with a
+//! reduced dev set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sti::prelude::{Task, TaskKind};
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_planner::compute_plan::DYNABERT_WIDTHS;
-use sti_planner::{plan_compute, plan_two_stage, AibLedger, ImportanceProfile};
+use sti_planner::{plan_compute, plan_two_stage, profile_importance, AibLedger, ImportanceProfile};
 use sti_quant::{Bitwidth, QuantConfig};
 use sti_tensor::Rng;
 use sti_transformer::ModelConfig;
@@ -69,9 +72,22 @@ fn bench_aib_ledger(c: &mut Criterion) {
     });
 }
 
+fn bench_profile_importance(c: &mut Criterion) {
+    let task = Task::build(TaskKind::Sst2, ModelConfig::scaled_bert(), 4, 4);
+    let quant = QuantConfig::default();
+    c.bench_function("profile_importance_12x12_dev4", |b| {
+        b.iter(|| profile_importance(task.model(), task.dev(), &quant))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
     targets = bench_compute_plan, bench_two_stage, bench_aib_ledger
 }
-criterion_main!(benches);
+criterion_group! {
+    name = profile_benches;
+    config = Criterion::default().sample_size(10);
+    targets = bench_profile_importance
+}
+criterion_main!(benches, profile_benches);

@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the tensor kernels: dense matmul at the
-//! shapes the transformer actually uses, and a whole-layer forward pass.
+//! shapes the transformer actually uses, and a whole-layer forward pass of
+//! the packed encoder kernel at several widths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sti_tensor::{ops, Matrix, Rng};
-use sti_transformer::layer::layer_forward;
 use sti_transformer::synthetic::{synthetic_layer, GainPattern};
-use sti_transformer::{ModelConfig, ShardWeights};
+use sti_transformer::{LayerScratch, ModelConfig, PackedLayer, ShardWeights};
 
 fn random_matrix(rng: &mut Rng, r: usize, c: usize) -> Matrix {
     let mut m = Matrix::zeros(r, c);
@@ -35,11 +35,17 @@ fn bench_layer_forward(c: &mut Criterion) {
     let layer = synthetic_layer(&cfg, &mut rng, 0, GainPattern::Uniform);
     let x = random_matrix(&mut rng, cfg.seq_len, cfg.hidden);
     let mut group = c.benchmark_group("layer_forward");
-    for m in [3usize, 12] {
+    let mut scratch = LayerScratch::default();
+    for m in [1usize, 2, 6, 12] {
         let refs: Vec<&ShardWeights> = layer.shards[..m].iter().collect();
         let idxs: Vec<usize> = (0..m).collect();
+        let packed = PackedLayer::pack(&cfg, &refs, &idxs, &layer.resident.bias_ffn1);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |bch, _| {
-            bch.iter(|| layer_forward(&x, &refs, &idxs, &layer.resident, &cfg))
+            bch.iter(|| {
+                let mut y = x.clone();
+                packed.forward(&mut y, &layer.resident, &mut scratch);
+                y
+            })
         });
     }
     group.finish();

@@ -318,6 +318,12 @@ fn open_sessions(
 /// Sessions open up front in client order (so SLO admission is
 /// deterministic); rejected clients report no outcomes.
 ///
+/// The IO scheduler dispatches nothing until every client has issued (or
+/// skipped) its first engagement — the threaded counterpart of the event
+/// loop issuing a whole co-arrival wave before servicing it — so which
+/// first-wave requests share a batched flash job does not depend on how
+/// the client threads happen to interleave.
+///
 /// # Errors
 ///
 /// Returns the first client error encountered (by client order).
@@ -327,13 +333,23 @@ pub fn replay_concurrent(
 ) -> Result<ServeReport, PipelineError> {
     let start = std::time::Instant::now();
     let sessions = open_sessions(server, trace)?;
+    // Each client drops its sender once its first engagement is queued;
+    // nothing is ever sent, so `recv` returns when the last one is gone.
+    let (issued, first_wave) = std::sync::mpsc::channel::<()>();
+    server.pause_io();
     let results: Vec<Result<Vec<EngagementOutcome>, PipelineError>> = std::thread::scope(|s| {
         let handles: Vec<_> = trace
             .clients
             .iter()
             .zip(&sessions)
-            .map(|(client, session)| s.spawn(move || run_client(session.as_ref(), client)))
+            .map(|(client, session)| {
+                let issued = issued.clone();
+                s.spawn(move || run_client(session.as_ref(), client, move || drop(issued)))
+            })
             .collect();
+        drop(issued);
+        let _ = first_wave.recv();
+        server.resume_io();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
     let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -358,21 +374,29 @@ pub fn replay_sequential(
         .clients
         .iter()
         .zip(&sessions)
-        .map(|(client, session)| run_client(session.as_ref(), client))
+        .map(|(client, session)| run_client(session.as_ref(), client, || {}))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(report(server, &sessions, outcomes, start.elapsed()))
 }
 
+/// Runs one client's engagements in order; `first_issued` runs once the
+/// first engagement has been issued (or shed), before it is completed.
 fn run_client(
     session: Option<&Session>,
     client: &ClientTrace,
+    first_issued: impl FnOnce(),
 ) -> Result<Vec<EngagementOutcome>, PipelineError> {
     let Some(session) = session else {
         return Ok(Vec::new()); // rejected at admission
     };
+    let mut first_issued = Some(first_issued);
     let mut outcomes = Vec::with_capacity(client.engagements.len());
     for tokens in &client.engagements {
-        match session.infer(tokens) {
+        let issued = session.infer_issue(tokens);
+        if let Some(signal) = first_issued.take() {
+            signal();
+        }
+        match issued.and_then(|pending| session.infer_complete(pending)) {
             Ok(inf) => outcomes.push(EngagementOutcome {
                 class: inf.class,
                 probabilities: inf.probabilities,

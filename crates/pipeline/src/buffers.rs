@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 
 use sti_quant::QuantizedBlob;
-use sti_transformer::{ModelConfig, ShardId, ShardWeights};
+use sti_tensor::Matrix;
+use sti_transformer::{LayerResident, LayerScratch, ModelConfig, PackedLayer, ShardId};
 
 use crate::error::PipelineError;
 
@@ -120,44 +121,72 @@ impl PreloadBuffer {
 
 /// The working buffer: one layer's worth of decompressed FP32 shard weights,
 /// reused across layers so its size does not grow with the model (§3.1).
+///
+/// [`WorkingBuffer::assemble`] dequantizes each of a layer's blobs into one
+/// shard-sized decode buffer and copies it straight into the column-packed
+/// layout of a [`PackedLayer`]; [`WorkingBuffer::forward`] then runs the
+/// layer with the width-fused kernel (bit-identical to the per-head
+/// composition, see [`PackedLayer`]). The decode buffer, the packed weights
+/// and the activation scratch are all reused from layer to layer.
 #[derive(Debug)]
 pub struct WorkingBuffer {
     cfg: ModelConfig,
-    scratch: Vec<f32>,
+    decoded: Vec<f32>,
+    layer: PackedLayer,
+    scratch: LayerScratch,
     peak_shards: usize,
 }
 
 impl WorkingBuffer {
     /// Creates a working buffer for models of shape `cfg`.
     pub fn new(cfg: ModelConfig) -> Self {
-        let scratch = vec![0.0; cfg.shard_param_count()];
-        Self { cfg, scratch, peak_shards: 0 }
+        let decoded = vec![0.0; cfg.shard_param_count()];
+        let layer = PackedLayer::new(&cfg);
+        Self { cfg, decoded, layer, scratch: LayerScratch::default(), peak_shards: 0 }
     }
 
-    /// Decompresses a layer's blobs into executable shard weights.
+    /// Decompresses a layer's blobs — the weights of slices `slice_idxs`,
+    /// in matching order — into the packed layer; `resident` is that
+    /// layer's resident parameters (the FFN1 bias segments are packed too).
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::PlanMismatch`] if a blob's length disagrees
-    /// with the configured shard size.
+    /// with the configured shard size or the blob and slice counts differ.
     pub fn assemble(
         &mut self,
         blobs: &[&QuantizedBlob],
-    ) -> Result<Vec<ShardWeights>, PipelineError> {
-        let mut out = Vec::with_capacity(blobs.len());
-        for blob in blobs {
-            if blob.len() != self.cfg.shard_param_count() {
-                return Err(PipelineError::PlanMismatch(format!(
-                    "blob holds {} weights, shard expects {}",
-                    blob.len(),
-                    self.cfg.shard_param_count()
-                )));
-            }
-            blob.dequantize_into(&mut self.scratch);
-            out.push(ShardWeights::from_flat(&self.scratch, &self.cfg));
+        slice_idxs: &[usize],
+        resident: &LayerResident,
+    ) -> Result<(), PipelineError> {
+        if blobs.len() != slice_idxs.len() {
+            return Err(PipelineError::PlanMismatch(format!(
+                "{} blobs for {} slices",
+                blobs.len(),
+                slice_idxs.len()
+            )));
+        }
+        if let Some(blob) = blobs.iter().find(|b| b.len() != self.cfg.shard_param_count()) {
+            return Err(PipelineError::PlanMismatch(format!(
+                "blob holds {} weights, shard expects {}",
+                blob.len(),
+                self.cfg.shard_param_count()
+            )));
+        }
+        self.layer.reset(slice_idxs, &resident.bias_ffn1);
+        for (slot, blob) in blobs.iter().enumerate() {
+            blob.dequantize_into(&mut self.decoded);
+            self.layer.set_slot_flat(slot, &self.decoded);
         }
         self.peak_shards = self.peak_shards.max(blobs.len());
-        Ok(out)
+        Ok(())
+    }
+
+    /// Runs the last assembled layer over `x` in place; `resident` must be
+    /// the same layer's resident parameters as passed to
+    /// [`WorkingBuffer::assemble`].
+    pub fn forward(&mut self, x: &mut Matrix, resident: &LayerResident) {
+        self.layer.forward(x, resident, &mut self.scratch);
     }
 
     /// Peak bytes of decompressed weights held for any single layer so far.
@@ -235,9 +264,19 @@ mod tests {
         let id = ShardId::new(0, 1);
         let flat = model.shard(id).flatten();
         let b = QuantizedBlob::quantize(&flat, Bitwidth::Full, &QuantConfig::default());
+        let resident = &model.layers()[0].resident;
         let mut wb = WorkingBuffer::new(cfg.clone());
-        let shards = wb.assemble(&[&b]).unwrap();
-        assert_eq!(&shards[0], model.shard(id));
+        wb.assemble(&[&b], &[1], resident).unwrap();
+        let x = model.embedding().embed(&[4, 2]);
+        let mut got = x.clone();
+        wb.forward(&mut got, resident);
+        let mut want = x;
+        PackedLayer::pack(&cfg, &[model.shard(id)], &[1], &resident.bias_ffn1).forward(
+            &mut want,
+            resident,
+            &mut sti_transformer::LayerScratch::default(),
+        );
+        assert_eq!(got, want);
         assert_eq!(wb.peak_bytes(), cfg.shard_fp32_bytes());
     }
 
@@ -246,8 +285,21 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let other = ModelConfig { hidden: 16, ffn: 32, ..ModelConfig::tiny() };
         let b = blob(&other, 1, Bitwidth::B2);
+        let resident = LayerResident::identity(&cfg);
         let mut wb = WorkingBuffer::new(cfg);
-        assert!(matches!(wb.assemble(&[&b]), Err(PipelineError::PlanMismatch(_))));
+        assert!(matches!(wb.assemble(&[&b], &[0], &resident), Err(PipelineError::PlanMismatch(_))));
+    }
+
+    #[test]
+    fn working_buffer_rejects_slice_count_mismatch() {
+        let cfg = ModelConfig::tiny();
+        let b = blob(&cfg, 1, Bitwidth::B2);
+        let resident = LayerResident::identity(&cfg);
+        let mut wb = WorkingBuffer::new(cfg);
+        assert!(matches!(
+            wb.assemble(&[&b], &[0, 1], &resident),
+            Err(PipelineError::PlanMismatch(_))
+        ));
     }
 
     #[test]
@@ -255,9 +307,11 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let mut wb = WorkingBuffer::new(cfg.clone());
         let b = blob(&cfg, 4, Bitwidth::B4);
+        let resident = LayerResident::identity(&cfg);
+        let slices: Vec<usize> = (0..cfg.heads).collect();
         for _ in 0..10 {
             let blobs: Vec<&QuantizedBlob> = (0..cfg.heads).map(|_| &b).collect();
-            wb.assemble(&blobs).unwrap();
+            wb.assemble(&blobs, &slices, &resident).unwrap();
         }
         assert_eq!(wb.peak_bytes(), cfg.heads * cfg.shard_fp32_bytes());
     }

@@ -21,7 +21,6 @@ use sti_quant::QuantizedBlob;
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
-use sti_transformer::layer::layer_forward;
 use sti_transformer::{AssembledSubmodel, Model, ShardId, ShardWeights};
 
 use crate::buffers::{PreloadBuffer, WorkingBuffer};
@@ -180,8 +179,7 @@ impl<'a> PipelineExecutor<'a> {
         has_request: &[bool],
     ) -> Result<ExecutionOutcome, PipelineError> {
         let start = std::time::Instant::now();
-        let cfg = self.model.config().clone();
-        let mut working = WorkingBuffer::new(cfg.clone());
+        let mut working = WorkingBuffer::new(self.model.config().clone());
         let mut x = self.model.embedding().embed(tokens);
         let mut timings = Vec::with_capacity(plan.layers.len());
         let mut loaded_bytes = 0u64;
@@ -213,11 +211,10 @@ impl<'a> PipelineExecutor<'a> {
                 blob_refs.push(blob);
             }
 
-            let shards = working.assemble(&blob_refs)?;
-            let shard_refs: Vec<&ShardWeights> = shards.iter().collect();
             let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
             let resident = &self.model.layers()[l].resident;
-            x = layer_forward(&x, &shard_refs, &slice_idxs, resident, &cfg);
+            working.assemble(&blob_refs, &slice_idxs, resident)?;
+            working.forward(&mut x, resident);
 
             timings.push(LayerTiming { io: io_delay, comp: self.hw.t_comp(pl.slices.len()) });
         }
@@ -421,8 +418,46 @@ mod tests {
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
         let out = exec.execute(&plan, &PreloadBuffer::new(0), &[3, 4, 5]).unwrap();
         let direct = f.task.model().forward_full(&[3, 4, 5]);
-        for (a, b) in out.logits.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-4, "pipeline and direct forward disagree: {a} vs {b}");
-        }
+        assert_eq!(bits(&out.logits), bits(&direct), "pipeline and direct forward disagree");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn mixed_bitwidth_partial_width_plan_matches_assembled_forward() {
+        let f = fixture();
+        let cfg = f.task.model().config().clone();
+        // Width 3 of 4, slices out of order, a different bitwidth per shard,
+        // and the first layer's shards partly preloaded.
+        let ladder = [Bitwidth::B2, Bitwidth::B5, Bitwidth::Full, Bitwidth::B3, Bitwidth::B6];
+        let layers: Vec<sti_planner::PlannedLayer> = (0..cfg.layers as u16)
+            .map(|layer| {
+                let slices = if layer % 2 == 0 { vec![3, 0, 2] } else { vec![1, 2, 3] };
+                let bitwidths =
+                    (0..3).map(|i| ladder[(layer as usize * 3 + i) % ladder.len()]).collect();
+                sti_planner::PlannedLayer { layer, slices, bitwidths }
+            })
+            .collect();
+        let preload_id = ShardId::new(0, 3);
+        let plan = sti_planner::ExecutionPlan {
+            shape: sti_planner::SubmodelShape::new(cfg.layers, 3),
+            preload: vec![(preload_id, layers[0].bitwidths[0])],
+            layers,
+            target: SimTime::from_ms(10_000),
+            preload_budget_bytes: 1 << 20,
+            aib_satisfied: true,
+            predicted: simulate_pipeline(&[], SimTime::ZERO),
+        };
+        let preload = fill_preload(&f, &plan);
+        assert!(preload.contains(preload_id));
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let tokens = [2, 0, 7, 1, 5];
+        let out = exec.execute(&plan, &preload, &tokens).unwrap();
+        let (sub, _) =
+            assemble_plan_submodel(f.task.model(), &plan, &preload, f.source.as_ref()).unwrap();
+        let want = f.task.model().forward_assembled(&tokens, &sub);
+        assert_eq!(bits(&out.logits), bits(&want));
     }
 }

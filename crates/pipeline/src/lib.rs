@@ -23,7 +23,8 @@
 //!
 //! - [`buffers`] — the preload buffer (persistent, capacity-bounded,
 //!   evicting top layers first) and the working buffer (one layer's worth of
-//!   decompressed weights, reused across layers);
+//!   decompressed weights, packed for the width-fused encoder kernel and
+//!   reused across layers);
 //! - [`executor`] — the pipeline executor: real threads, real storage reads,
 //!   real forward passes, with the simulated-time timeline accounted per
 //!   layer; [`executor::PipelineExecutor::execute_on`] borrows an IO lane

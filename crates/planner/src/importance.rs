@@ -12,7 +12,8 @@ use sti_nlp::metrics::soft_accuracy;
 use sti_nlp::Dataset;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_tensor::parallel::parallel_map;
-use sti_transformer::{AssembledSubmodel, Model, ShardId, ShardWeights};
+use sti_tensor::Matrix;
+use sti_transformer::{LayerScratch, Model, PackedLayer, ShardId};
 
 /// The profiled importance of every shard in the grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,58 +145,70 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// then for each shard swap in its full-fidelity weights and measure soft
 /// dev accuracy.
 ///
-/// The cost is `(N·M + 1)` dev-set evaluations of the full grid; probes run
-/// in parallel across available cores.
+/// Every layer's 2-bit floor is packed once ([`PackedLayer`]) and shared
+/// read-only by all probes. One all-2-bit baseline pass caches every dev
+/// example's input to every layer; probe `(l, s)` is identical to the
+/// baseline below layer `l`, so it starts at layer `l` from the cached
+/// input, repacks only layer `l` with slice `s` upgraded, and reuses the
+/// floor above it. The scores are bit-identical to evaluating each probe's
+/// whole grid from the embedding up, at about half the layer passes; probes
+/// run in parallel across available cores.
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
-    let cfg = model.config().clone();
+    let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
+    let all_slices: Vec<usize> = (0..cfg.heads).collect();
+    let layers = model.layers();
 
-    // Decompressed 2-bit weights of the entire grid, computed once.
-    let floor: Vec<Vec<ShardWeights>> = (0..cfg.layers as u16)
-        .map(|l| {
-            (0..cfg.heads as u16)
-                .map(|s| {
-                    let flat = model.shard(ShardId::new(l, s)).flatten();
-                    let blob = QuantizedBlob::quantize(&flat, Bitwidth::B2, quant);
-                    ShardWeights::from_flat(&blob.dequantize(), &cfg)
-                })
-                .collect()
+    let floor: Vec<PackedLayer> = layers
+        .iter()
+        .map(|layer| {
+            let mut packed = PackedLayer::new(cfg);
+            packed.reset(&all_slices, &layer.resident.bias_ffn1);
+            for (slot, shard) in layer.shards.iter().enumerate() {
+                let blob = QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant);
+                packed.set_slot_flat(slot, &blob.dequantize());
+            }
+            packed
         })
         .collect();
 
+    // The baseline pass; `inputs[l][e]` is dev example `e`'s input to layer
+    // `l`.
+    let mut inputs: Vec<Vec<Matrix>> = vec![Vec::with_capacity(dev.len()); cfg.layers];
+    let mut scratch = LayerScratch::default();
+    let baseline_probs: Vec<Vec<f32>> = dev
+        .iter()
+        .map(|e| {
+            let mut x = model.embedding().embed(&e.tokens);
+            for (l, packed) in floor.iter().enumerate() {
+                inputs[l].push(x.clone());
+                packed.forward(&mut x, &layers[l].resident, &mut scratch);
+            }
+            model.classifier().probabilities(&x)
+        })
+        .collect();
     let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
-    let total = cfg.total_shards();
+    let baseline = soft_accuracy(&baseline_probs, &labels);
 
-    let evaluate = |upgraded: Option<(usize, usize)>| -> f64 {
-        let mut sub = AssembledSubmodel::new();
-        for (l, floor_layer) in floor.iter().enumerate().take(cfg.layers) {
-            let shards: Vec<ShardWeights> = (0..cfg.heads)
-                .map(|s| {
-                    if upgraded == Some((l, s)) {
-                        model.shard(ShardId::new(l as u16, s as u16)).clone()
-                    } else {
-                        floor_layer[s].clone()
-                    }
-                })
-                .collect();
-            sub.push_layer((0..cfg.heads).collect(), shards);
-        }
-        let probs: Vec<Vec<f32>> =
-            dev.iter().map(|e| model.predict_assembled(&e.tokens, &sub).1).collect();
+    let scores = parallel_map(cfg.total_shards(), |i| {
+        let (l, s) = (i / cfg.heads, i % cfg.heads);
+        let mut upgraded = floor[l].clone();
+        upgraded.set_slot(s, &layers[l].shards[s]);
+        let mut scratch = LayerScratch::default();
+        let probs: Vec<Vec<f32>> = inputs[l]
+            .iter()
+            .map(|x| {
+                let mut x = x.clone();
+                upgraded.forward(&mut x, &layers[l].resident, &mut scratch);
+                for (above, packed) in floor.iter().enumerate().skip(l + 1) {
+                    packed.forward(&mut x, &layers[above].resident, &mut scratch);
+                }
+                model.classifier().probabilities(&x)
+            })
+            .collect();
         soft_accuracy(&probs, &labels)
-    };
-
-    // Probe index total = the all-2-bit baseline; 0..total = one-shard
-    // upgrades.
-    let results = parallel_map(total + 1, |i| {
-        if i == total {
-            evaluate(None)
-        } else {
-            evaluate(Some((i / cfg.heads, i % cfg.heads)))
-        }
     });
-    let baseline = results[total];
-    ImportanceProfile::from_scores(cfg.layers, cfg.heads, results[..total].to_vec(), baseline)
+    ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores, baseline)
 }
 
 #[cfg(test)]
@@ -263,6 +276,56 @@ mod tests {
         for id in task.model().config().shard_ids() {
             let s = profile.score(id);
             assert!(s.is_finite() && (0.0..=1.0).contains(&s));
+        }
+    }
+
+    /// The profile by its definition: every probe evaluates its whole grid
+    /// from the embedding up, over an assembled submodel.
+    fn full_reevaluation(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
+        use sti_transformer::{AssembledSubmodel, ShardWeights};
+        let cfg = model.config();
+        let floor: Vec<Vec<ShardWeights>> = model
+            .layers()
+            .iter()
+            .map(|layer| {
+                layer
+                    .shards
+                    .iter()
+                    .map(|shard| {
+                        let blob = QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant);
+                        ShardWeights::from_flat(&blob.dequantize(), cfg)
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
+        let evaluate = |upgraded: Option<(usize, usize)>| {
+            let mut sub = AssembledSubmodel::new();
+            for (l, floor_layer) in floor.iter().enumerate() {
+                let shards = (0..cfg.heads)
+                    .map(|s| match upgraded {
+                        Some(up) if up == (l, s) => model.layers()[l].shards[s].clone(),
+                        _ => floor_layer[s].clone(),
+                    })
+                    .collect();
+                sub.push_layer((0..cfg.heads).collect(), shards);
+            }
+            let probs: Vec<Vec<f32>> =
+                dev.iter().map(|e| model.predict_assembled(&e.tokens, &sub).1).collect();
+            soft_accuracy(&probs, &labels)
+        };
+        let scores =
+            (0..cfg.total_shards()).map(|i| evaluate(Some((i / cfg.heads, i % cfg.heads))));
+        ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores.collect(), evaluate(None))
+    }
+
+    #[test]
+    fn prefix_reusing_profile_equals_full_reevaluation() {
+        for kind in [TaskKind::Sst2, TaskKind::Rte] {
+            let task = Task::build(kind, ModelConfig { layers: 3, ..ModelConfig::tiny() }, 6, 4);
+            let quant = QuantConfig::default();
+            let fast = profile_importance(task.model(), task.dev(), &quant);
+            assert_eq!(fast, full_reevaluation(task.model(), task.dev(), &quant), "{kind:?}");
         }
     }
 

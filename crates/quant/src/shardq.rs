@@ -163,8 +163,13 @@ impl QuantizedBlob {
     }
 
     /// Decompresses into a caller-provided buffer — the working-buffer hot
-    /// path: substitute dictionary indexes with centroids, then patch
-    /// outliers.
+    /// path: decode the packed indexes straight into centroid lookups, then
+    /// patch outliers.
+    ///
+    /// The decoder streams the [`bitpack`] layout eight fields at a time:
+    /// eight `k`-bit fields span exactly `k` bytes (`k ≤ 8`), which it reads
+    /// into one little-endian `u64` and shifts out low bits first. No index
+    /// buffer is allocated.
     ///
     /// # Panics
     ///
@@ -177,10 +182,27 @@ impl QuantizedBlob {
             }
             return;
         }
-        let mut indexes = vec![0u16; self.len as usize];
-        bitpack::unpack_into(&self.packed, self.bitwidth.bits(), &mut indexes);
-        for (slot, &idx) in out.iter_mut().zip(&indexes) {
-            *slot = self.centroids[idx as usize];
+        let bits = self.bitwidth.bits() as usize;
+        debug_assert!(bits <= 8, "eight fields must fit one u64");
+        let mask = (1u64 << bits) - 1;
+        let decode = |group: &mut [f32], bytes: &[u8]| {
+            let mut word = 0u64;
+            for (i, &b) in bytes.iter().enumerate() {
+                word |= (b as u64) << (8 * i);
+            }
+            for slot in group {
+                *slot = self.centroids[(word & mask) as usize];
+                word >>= bits;
+            }
+        };
+        let mut groups = out.chunks_exact_mut(8);
+        let mut words = self.packed.chunks(bits);
+        for (group, bytes) in (&mut groups).zip(&mut words) {
+            decode(group, bytes);
+        }
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            decode(tail, words.next().expect("packed payload covers every field"));
         }
         for &(offset, value) in &self.outliers {
             out[offset as usize] = value;
@@ -234,6 +256,7 @@ impl QuantizedBlob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sti_tensor::{stats, Rng};
 
     fn gaussian_weights(seed: u64, n: usize) -> Vec<f32> {
@@ -342,6 +365,59 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantize_rejects_empty_input() {
         let _ = QuantizedBlob::quantize(&[], Bitwidth::B2, &QuantConfig::default());
+    }
+
+    /// The reference decode: unpack every index, look each up, patch
+    /// outliers.
+    fn reference_dequantize(blob: &QuantizedBlob) -> Vec<f32> {
+        let indexes = bitpack::unpack(blob.packed(), blob.bitwidth().bits(), blob.len());
+        let mut out: Vec<f32> = indexes.iter().map(|&i| blob.centroids()[i as usize]).collect();
+        for &(offset, value) in blob.outliers() {
+            out[offset as usize] = value;
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_decode_matches_unpack_at_every_bitwidth(
+            bw_idx in 0usize..5,
+            len in 1usize..300,
+            outliers in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            let bw = Bitwidth::COMPRESSED[bw_idx];
+            let mut rng = Rng::new(seed);
+            let indexes: Vec<u16> =
+                (0..len).map(|_| rng.next_below(bw.centroid_count()) as u16).collect();
+            let centroids: Vec<f32> =
+                (0..bw.centroid_count()).map(|_| rng.next_gaussian()).collect();
+            let outliers: Vec<(u32, f32)> = (0..outliers)
+                .map(|_| (rng.next_below(len) as u32, rng.next_gaussian() * 8.0))
+                .collect();
+            let blob = QuantizedBlob::from_parts(
+                bw,
+                len as u32,
+                bitpack::pack(&indexes, bw.bits()),
+                centroids,
+                outliers,
+            )
+            .unwrap();
+            let got: Vec<u32> = blob.dequantize().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = reference_dequantize(&blob).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "{} x {}", bw, len);
+        }
+    }
+
+    #[test]
+    fn streaming_decode_matches_unpack_on_quantized_weights() {
+        for len in [3, 7, 8, 9, 300, 1001] {
+            let weights = gaussian_weights(9, len);
+            for bw in Bitwidth::COMPRESSED {
+                let blob = QuantizedBlob::quantize(&weights, bw, &QuantConfig::default());
+                assert_eq!(blob.dequantize(), reference_dequantize(&blob), "{bw} x {len}");
+            }
+        }
     }
 
     #[test]

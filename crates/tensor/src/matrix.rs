@@ -18,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(1, 2)], 0.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

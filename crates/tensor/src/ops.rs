@@ -31,16 +31,18 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul output shape mismatch");
     out.as_mut_slice().fill(0.0);
     let (k_dim, c_dim) = (a.cols(), b.cols());
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        for (k, &aik) in a_row.iter().enumerate().take(k_dim) {
+    if k_dim == 0 || c_dim == 0 {
+        return;
+    }
+    for (a_row, out_row) in
+        a.as_slice().chunks_exact(k_dim).zip(out.as_mut_slice().chunks_exact_mut(c_dim))
+    {
+        for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(c_dim)) {
             if aik == 0.0 {
                 continue;
             }
-            let b_row = b.row(k);
-            let out_row = out.row_mut(i);
-            for j in 0..c_dim {
-                out_row[j] += aik * b_row[j];
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
             }
         }
     }

@@ -13,8 +13,16 @@
 //!   inference while preserving the paper's 12-layer × 12-head shard grid;
 //! - [`ShardWeights`] / [`LayerWeights`] — the sharded parameter layout of
 //!   Table 1, with flattening to 1-D weight groups for quantization;
+//! - [`PackedLayer`] / [`LayerScratch`] — the encoder-layer kernel every
+//!   forward pass runs through: a layer's selected slices column-packed so
+//!   Q/K/V and FFN1 of all heads are one wide matmul each, bit-identical to
+//!   the per-head composition of [`attention`] and [`ffn`] (see the
+//!   [`PackedLayer`] docs for the layout and the contract);
 //! - [`Model`] — synthetic-weight model generation, full forward, and
 //!   submodel forward over externally assembled (e.g. dequantized) shards.
+//!
+//! [`attention`] and [`ffn`] remain the per-head building blocks of the
+//! causal decoder ([`decoder`], [`kv_cache`]).
 //!
 //! ```
 //! use sti_transformer::{Model, ModelConfig};
@@ -44,5 +52,6 @@ pub mod weights;
 
 pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
+pub use layer::{LayerScratch, PackedLayer};
 pub use model::Model;
 pub use weights::{LayerResident, LayerWeights, ShardWeights};

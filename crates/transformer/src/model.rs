@@ -6,7 +6,7 @@ use crate::assemble::AssembledSubmodel;
 use crate::classifier::Classifier;
 use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
-use crate::layer::layer_forward;
+use crate::layer::{LayerScratch, PackedLayer};
 use crate::synthetic::{synthetic_layer, GainPattern};
 use crate::weights::{LayerWeights, ShardWeights};
 
@@ -92,15 +92,15 @@ impl Model {
     /// Panics if any layer list is empty or widths are ragged.
     pub fn forward_submodel(&self, tokens: &[u32], slices_per_layer: &[Vec<usize>]) -> Vec<f32> {
         assert!(!slices_per_layer.is_empty(), "submodel needs at least one layer");
-        let mut x = self.embedding.embed(tokens);
         let width = slices_per_layer[0].len();
-        for (l, slices) in slices_per_layer.iter().enumerate() {
+        self.forward_layers(tokens, slices_per_layer.len(), |l, packed| {
+            let slices = &slices_per_layer[l];
             assert_eq!(slices.len(), width, "submodel layers must share one width");
-            let refs: Vec<&ShardWeights> =
-                slices.iter().map(|&s| &self.layers[l].shards[s]).collect();
-            x = layer_forward(&x, &refs, slices, &self.layers[l].resident, &self.cfg);
-        }
-        self.classifier.logits(&x)
+            packed.reset(slices, &self.layers[l].resident.bias_ffn1);
+            for (slot, &s) in slices.iter().enumerate() {
+                packed.set_slot(slot, &self.layers[l].shards[s]);
+            }
+        })
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -112,10 +112,30 @@ impl Model {
     pub fn forward_assembled(&self, tokens: &[u32], submodel: &AssembledSubmodel) -> Vec<f32> {
         assert!(submodel.depth() > 0, "assembled submodel is empty");
         assert!(submodel.depth() <= self.cfg.layers, "submodel deeper than model");
+        self.forward_layers(tokens, submodel.depth(), |l, packed| {
+            let asm = &submodel.layers()[l];
+            packed.reset(&asm.slice_idxs, &self.layers[l].resident.bias_ffn1);
+            for (slot, shard) in asm.shards.iter().enumerate() {
+                packed.set_slot(slot, shard);
+            }
+        })
+    }
+
+    /// Embeds `tokens`, runs the bottom `depth` layers through one reused
+    /// [`PackedLayer`] that `fill(l, ..)` packs with layer `l`'s slices, and
+    /// returns the classifier logits.
+    fn forward_layers(
+        &self,
+        tokens: &[u32],
+        depth: usize,
+        mut fill: impl FnMut(usize, &mut PackedLayer),
+    ) -> Vec<f32> {
         let mut x = self.embedding.embed(tokens);
-        for (l, asm) in submodel.layers().iter().enumerate() {
-            let refs: Vec<&ShardWeights> = asm.shards.iter().collect();
-            x = layer_forward(&x, &refs, &asm.slice_idxs, &self.layers[l].resident, &self.cfg);
+        let mut packed = PackedLayer::new(&self.cfg);
+        let mut scratch = LayerScratch::default();
+        for l in 0..depth {
+            fill(l, &mut packed);
+            packed.forward(&mut x, &self.layers[l].resident, &mut scratch);
         }
         self.classifier.logits(&x)
     }
@@ -194,8 +214,49 @@ mod tests {
         let sub = AssembledSubmodel::from_model_slices(m.layers(), &slices, &cfg);
         let a = m.forward_assembled(&[3, 1], &sub);
         let b = m.forward_full(&[3, 1]);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Logits of the per-head layer composition the packed kernel replaced.
+    fn oracle_logits(m: &Model, tokens: &[u32], slices_per_layer: &[Vec<usize>]) -> Vec<f32> {
+        let mut x = m.embedding().embed(tokens);
+        for (l, slices) in slices_per_layer.iter().enumerate() {
+            let refs: Vec<&ShardWeights> =
+                slices.iter().map(|&s| &m.layers()[l].shards[s]).collect();
+            x = crate::layer::tests::oracle_layer(
+                &x,
+                &refs,
+                slices,
+                &m.layers()[l].resident,
+                m.config(),
+            );
+        }
+        m.classifier().logits(&x)
+    }
+
+    #[test]
+    fn submodel_logits_match_the_per_head_oracle_bitwise_at_every_width() {
+        let m = tiny_model();
+        let cfg = m.config().clone();
+        let mut rng = sti_tensor::Rng::new(9);
+        for width in 1..=cfg.heads {
+            let slices: Vec<Vec<usize>> = (0..cfg.layers)
+                .map(|_| {
+                    let mut order: Vec<usize> = (0..cfg.heads).collect();
+                    rng.shuffle(&mut order);
+                    order.truncate(width);
+                    order
+                })
+                .collect();
+            let tokens = [width as u32, 7, 0, 3];
+            let want = oracle_logits(&m, &tokens, &slices);
+            assert_eq!(bits(&m.forward_submodel(&tokens, &slices)), bits(&want), "width {width}");
+            let sub = AssembledSubmodel::from_model_slices(m.layers(), &slices, &cfg);
+            assert_eq!(bits(&m.forward_assembled(&tokens, &sub)), bits(&want), "width {width}");
         }
     }
 

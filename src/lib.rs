@@ -42,6 +42,21 @@
 //! exactly (`tests/serving_runtime.rs` pins both down;
 //! `tests/serving_batching.rs` pins the batched economics).
 //!
+//! ## One encoder kernel
+//!
+//! Every encoder forward pass — the executor's per-layer compute over the
+//! working buffer (§3.1), `Model::forward_*` over a model's own or an
+//! assembled submodel's weights, and the importance profiler's probes —
+//! runs through one kernel, `sti_transformer::PackedLayer`. It holds a
+//! layer's selected slices column-packed, so Q/K/V for all heads is one
+//! wide matmul and FFN1 for all heads another, and it returns logits bit
+//! for bit equal to composing the layer head by head (same per-element
+//! summation order, same exact-zero skip, per-head partials added in slot
+//! order). The executor dequantizes each blob into one reused decode buffer
+//! and packs straight from it. The profiler packs the 2-bit floor once,
+//! caches every dev example's input to every layer from one baseline pass,
+//! and starts probe `(l, s)` at layer `l`.
+//!
 //! ## Serving quickstart
 //!
 //! ```
