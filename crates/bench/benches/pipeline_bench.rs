@@ -54,7 +54,7 @@ fn bench_working_buffer_assembly(c: &mut Criterion) {
     let resident = &model.layers()[0].resident;
     let mut wb = WorkingBuffer::new(cfg);
     c.bench_function("working_buffer_assemble_layer", |b| {
-        b.iter(|| wb.assemble(&refs, &slices, resident).expect("assembly succeeds"))
+        b.iter(|| wb.assemble(&refs, &slices, resident))
     });
     // Preload buffer admission cost for context.
     let mut pb = PreloadBuffer::new(1 << 30);

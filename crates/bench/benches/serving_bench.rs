@@ -4,6 +4,8 @@
 //! regression baseline for plain engine-style inference through the server
 //! path. Replays run on the discrete-event engine — the default executor
 //! everywhere now — so the numbers track the path serving actually ships.
+//! `closed_loop_8x64` is the compute-bound closed loop (many back-to-back
+//! engagements per client) where `replay_event`'s compute pool pays off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sti::prelude::*;
@@ -35,6 +37,32 @@ fn bench_concurrent_sessions(c: &mut Criterion) {
             b.iter(|| replay_event(&server, trace).expect("replay succeeds"))
         });
     }
+    // The closed loop the compute pool targets: 8 clients stream 64
+    // back-to-back engagements each over 8 distinct (T, |S|) plans, so the
+    // forward pass, not admission or IO, dominates host time.
+    let examples = ctx.task().test().examples();
+    let plans = [(200, 0), (200, 8), (200, 16), (300, 0), (300, 8), (300, 16), (400, 0), (400, 8)];
+    let closed = ServingTrace {
+        clients: plans
+            .iter()
+            .enumerate()
+            .map(|(c, &(target_ms, preload_kb))| ClientTrace {
+                target: SimTime::from_ms(target_ms),
+                preload_bytes: preload_kb << 10,
+                slo: None,
+                arrival: SimTime::from_ms(c as u64),
+                idle: SimTime::ZERO,
+                engagements: (0..64)
+                    .map(|k| examples[(c * 64 + k) % examples.len()].tokens.clone())
+                    .collect(),
+            })
+            .collect(),
+    };
+    let server = build_server(&ctx, &ServeConfig { shard_cache_bytes: 128 << 10, ..cfg });
+    group.throughput(Throughput::Elements(closed.total_engagements() as u64));
+    group.bench_function("closed_loop_8x64", |b| {
+        b.iter(|| replay_event(&server, &closed).expect("replay succeeds"))
+    });
     group.finish();
 }
 

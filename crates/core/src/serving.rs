@@ -26,13 +26,15 @@
 //! (queue delays and sheds; shed engagements produce no outcome in either
 //! replay mode, and the decisions themselves are deterministic).
 
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_obs::{Histogram, MetricsSnapshot, SpanEvent};
 use sti_pipeline::{
-    AdmissionMode, BackpressureMode, ContentionReport, PendingEngagement, PipelineError,
-    PrefetchReport, ServingStats, Session, StiServer,
+    AdmissionMode, BackpressureMode, ComputeJob, Computed, ContentionReport, PendingEngagement,
+    PipelineError, PrefetchReport, ServingStats, Session, StiServer, WorkingBuffer,
 };
 use sti_planner::{PlanCacheStats, PrefetchConfig, PrefetchMode, PreloadPolicy};
 use sti_storage::{BatchPolicy, IoSchedulerStats, ShardCacheStats};
@@ -49,7 +51,8 @@ pub enum ExecMode {
     Threaded,
     /// The discrete-event engine on the calling thread ([`replay_event`]):
     /// every client is a [`Component`] on one simulated clock, so N clients
-    /// cost one OS thread, not N.
+    /// cost one engine thread, not N (forward passes run on a small compute
+    /// pool sized to the host, not to N).
     Event,
 }
 
@@ -441,8 +444,8 @@ fn report(
 }
 
 /// Replays a trace on the discrete-event engine: one simulated clock, one
-/// OS thread, every client a [`Component`]. Sessions still open up front
-/// in client order, so admission matches the threaded modes exactly.
+/// engine thread, every client a [`Component`]. Sessions still open up
+/// front in client order, so admission matches the threaded modes exactly.
 ///
 /// The IO scheduler's worker pool is parked ([`StiServer::pause_io`]) for
 /// the whole replay; dedicated *flash components* — one per device
@@ -452,12 +455,25 @@ fn report(
 /// issuers. Each client's engagement is split across the instant:
 /// [`Session::infer_issue`] enqueues its layer requests, the flash
 /// component dispatches them, and the woken client runs
-/// [`Session::infer_complete`] (which never blocks — everything it
-/// receives was already delivered) before issuing its next engagement.
+/// [`Session::infer_settle`] (which never blocks — everything it receives
+/// was already delivered) before issuing its next engagement.
+///
+/// **Compute pool.** Settling writes the engagement's makespan and loaded
+/// bytes into its outcome slot `(client, k)` at once; the forward pass —
+/// the settled [`ComputeJob`] — goes to a bounded queue drained by
+/// `available_parallelism() − 1` scoped helper threads, each reusing one
+/// working buffer. When the queue is full the engine thread runs the job
+/// itself, and once the engine stops it drains what is left alongside the
+/// helpers, so a one-core host spawns no helper and nothing can deadlock.
+/// Class and probabilities land in their slots before the report is built.
 ///
 /// **Determinism.** Event order is a pure function of
 /// `(next_tick, ComponentId)`; dispatch order is a pure function of the
-/// queue contents (the pool never races the engine thread). Two event
+/// queue contents (the IO pool never races the engine thread). Helper
+/// threads only ever run pure compute: nothing the engine, the gate or the
+/// prefetcher reads depends on a forward pass, and each result is written
+/// to the slot its engagement settled into, so the helper count and host
+/// scheduling change nothing in the report but its wall time. Two event
 /// replays of one trace are bit-identical — including the contended
 /// track — and per-engagement uncontended results are bit-identical to
 /// the threaded path. One deliberate divergence: with a batching window
@@ -474,11 +490,24 @@ pub fn replay_event(
     server: &StiServer,
     trace: &ServingTrace,
 ) -> Result<ServeReport, PipelineError> {
+    let helpers = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
+    replay_event_with(server, trace, helpers)
+}
+
+/// [`replay_event`] with an explicit number of compute helper threads.
+fn replay_event_with(
+    server: &StiServer,
+    trace: &ServingTrace,
+    helpers: usize,
+) -> Result<ServeReport, PipelineError> {
     struct Ctx<'a> {
         server: &'a StiServer,
         sessions: &'a [Option<Session>],
         trace: &'a ServingTrace,
+        /// Per client, one slot per served engagement: makespan and loaded
+        /// bytes at settle, class and probabilities once its job has run.
         outcomes: Vec<Vec<EngagementOutcome>>,
+        pool: ComputePool,
         /// One slot per client: an engagement issued this instant, awaiting
         /// completion after the flash component services the queue.
         pendings: Vec<Option<PendingEngagement>>,
@@ -534,13 +563,18 @@ pub fn replay_event(
             // A woken client first completes the engagement the flash
             // component just serviced...
             if let Some(pending) = sys.ctx.pendings[self.id].take() {
-                match session.infer_complete(pending) {
-                    Ok(inf) => sys.ctx.outcomes[self.id].push(EngagementOutcome {
-                        class: inf.class,
-                        probabilities: inf.probabilities,
-                        makespan: inf.outcome.timeline.makespan,
-                        loaded_bytes: inf.outcome.loaded_bytes,
-                    }),
+                match session.infer_settle(pending) {
+                    Ok(job) => {
+                        let slots = &mut sys.ctx.outcomes[self.id];
+                        slots.push(EngagementOutcome {
+                            class: 0,
+                            probabilities: Vec::new(),
+                            makespan: job.timeline().makespan,
+                            loaded_bytes: job.loaded_bytes(),
+                        });
+                        let k = slots.len() - 1;
+                        sys.ctx.pool.submit(self.id, k, job);
+                    }
                     Err(e) => return fail(sys, e),
                 }
                 // The completion may have queued speculative prefetch
@@ -640,50 +674,79 @@ pub fn replay_event(
     // Park the worker pool for the whole replay: the flash component is
     // the only dispatcher, so dispatch order can't race host threads.
     server.pause_io();
-    let mut engine: Engine<Ctx<'_>> = Engine::new();
-    // Engine-track spans (per-tick instants, heap-ops samples) join the
-    // server's live stream when a sink is installed; with the default
-    // `ObsSink::Null` this is free.
-    engine.set_obs_sink(server.obs_sink());
-    for (id, client) in trace.clients.iter().enumerate() {
-        engine.register(Box::new(Client { id, arrival: client.arrival }));
-    }
-    // One flash component per device channel, ids right after the clients:
-    // at every instant all clients issue first, then channel 0..C-1 drain
-    // their lanes in order, and the last channel wakes the completers.
-    let channels = server.device_topology().channel_count() as usize;
-    let mut flash = trace.clients.len();
-    for c in 0..channels {
-        let id = engine.register(Box::new(Flash {
-            id: trace.clients.len() + c,
-            channel: c as u16,
-            last: c + 1 == channels,
-        }));
-        if c == 0 {
-            flash = id;
+    let (queue_tx, queue_rx) = mpsc::sync_channel::<Job>(helpers);
+    let queue = Mutex::new(queue_rx);
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let (engine_report, mut outcomes, error) = std::thread::scope(|s| {
+        for _ in 0..helpers {
+            let (queue, done) = (&queue, done_tx.clone());
+            s.spawn(move || {
+                let mut working = server.working_buffer();
+                loop {
+                    // A `let` drops the guard before the job runs, so the
+                    // lock is held only while waiting for the next job.
+                    let next = queue.lock().recv();
+                    let Ok((client, k, job)) = next else { return };
+                    let _ = done.send((client, k, job.run(&mut working)));
+                }
+            });
         }
-    }
-    let mut ctx = Ctx {
-        server,
-        sessions: &sessions,
-        trace,
-        outcomes: vec![Vec::new(); trace.clients.len()],
-        pendings: (0..trace.clients.len()).map(|_| None).collect(),
-        cursor: vec![0; trace.clients.len()],
-        waiting: Vec::new(),
-        flash,
-        channels,
-        spec_wake: server.prefetch_enabled(),
-        error: None,
-    };
-    let engine_report = engine.run(&mut ctx);
-    let Ctx { outcomes, pendings, error, .. } = ctx;
-    // Abandoned pendings (halted run) tear their channels down before the
-    // pool resumes, exactly like an errored threaded `infer`.
-    drop(pendings);
+        let pool = ComputePool { queue: queue_tx, working: server.working_buffer(), done: done_tx };
+        let mut engine: Engine<Ctx<'_>> = Engine::new();
+        // Engine-track spans (per-tick instants, heap-ops samples) join the
+        // server's live stream when a sink is installed; with the default
+        // `ObsSink::Null` this is free.
+        engine.set_obs_sink(server.obs_sink());
+        for (id, client) in trace.clients.iter().enumerate() {
+            engine.register(Box::new(Client { id, arrival: client.arrival }));
+        }
+        // One flash component per device channel, ids right after the
+        // clients: at every instant all clients issue first, then channel
+        // 0..C-1 drain their lanes in order, and the last channel wakes the
+        // completers.
+        let channels = server.device_topology().channel_count() as usize;
+        let mut flash = trace.clients.len();
+        for c in 0..channels {
+            let id = engine.register(Box::new(Flash {
+                id: trace.clients.len() + c,
+                channel: c as u16,
+                last: c + 1 == channels,
+            }));
+            if c == 0 {
+                flash = id;
+            }
+        }
+        let mut ctx = Ctx {
+            server,
+            sessions: &sessions,
+            trace,
+            outcomes: vec![Vec::new(); trace.clients.len()],
+            pool,
+            pendings: (0..trace.clients.len()).map(|_| None).collect(),
+            cursor: vec![0; trace.clients.len()],
+            waiting: Vec::new(),
+            flash,
+            channels,
+            spec_wake: server.prefetch_enabled(),
+            error: None,
+        };
+        let engine_report = engine.run(&mut ctx);
+        let Ctx { outcomes, pool, pendings, error, .. } = ctx;
+        // Abandoned pendings (halted run) tear their channels down before
+        // the pool resumes, exactly like an errored threaded `infer`.
+        drop(pendings);
+        pool.finish(&queue);
+        (engine_report, outcomes, error)
+    });
     server.resume_io();
     if let Some(e) = error {
         return Err(e);
+    }
+    // Every sender is gone once the helpers are joined.
+    for (client, k, computed) in done_rx.try_iter() {
+        let slot = &mut outcomes[client][k];
+        slot.class = computed.class;
+        slot.probabilities = computed.probabilities;
     }
     let mut rep = report(server, &sessions, outcomes, start.elapsed());
     rep.heap_ops = engine_report.heap_ops;
@@ -692,6 +755,47 @@ pub fn replay_event(
     rep.metrics.counters.insert("engine.ticks".to_string(), engine_report.ticks);
     rep.metrics.counters.insert("engine.heap_ops".to_string(), engine_report.heap_ops);
     Ok(rep)
+}
+
+/// A settled engagement's forward pass, tagged with its outcome slot
+/// `(client, k)`.
+type Job = (usize, usize, ComputeJob);
+/// A finished forward pass and the slot it fills.
+type Done = (usize, usize, Computed);
+
+/// The engine thread's side of [`replay_event`]'s compute pool.
+struct ComputePool {
+    /// The bounded job queue the helpers drain (capacity = helper count;
+    /// a rendezvous channel nobody receives on when there are none).
+    queue: SyncSender<Job>,
+    /// The engine thread's own working buffer, for jobs it runs itself.
+    working: WorkingBuffer,
+    done: Sender<Done>,
+}
+
+impl ComputePool {
+    /// Queues `job`, or runs it on the engine thread when the queue is full.
+    fn submit(&mut self, client: usize, k: usize, job: ComputeJob) {
+        match self.queue.try_send((client, k, job)) {
+            Ok(()) => {}
+            Err(
+                TrySendError::Full((client, k, job)) | TrySendError::Disconnected((client, k, job)),
+            ) => {
+                let _ = self.done.send((client, k, job.run(&mut self.working)));
+            }
+        }
+    }
+
+    /// Closes the queue and runs what is still on it alongside the helpers.
+    fn finish(self, queue: &Mutex<Receiver<Job>>) {
+        let ComputePool { queue: sender, mut working, done } = self;
+        drop(sender);
+        loop {
+            let next = queue.lock().try_recv();
+            let Ok((client, k, job)) = next else { return };
+            let _ = done.send((client, k, job.run(&mut working)));
+        }
+    }
 }
 
 /// Knobs for the synthetic fleet sweep: how many sessions each point opens
@@ -1435,5 +1539,72 @@ mod tests {
             assert!(e.contended >= e.uncontended, "{} < {}", e.contended, e.uncontended);
         }
         assert_eq!(report.contention.flash_busy, report.io_stats.sim_flash_busy);
+    }
+
+    /// Everything a replay report promises to be host-independent, with
+    /// probabilities as raw bits (the gate log is part of the contention
+    /// report).
+    fn deterministic_view(rep: &ServeReport) -> impl PartialEq + std::fmt::Debug {
+        let outcomes: Vec<_> = rep
+            .outcomes
+            .iter()
+            .flat_map(|client| {
+                client.iter().map(|o| {
+                    let bits: Vec<u32> = o.probabilities.iter().map(|p| p.to_bits()).collect();
+                    (o.class, bits, o.makespan, o.loaded_bytes)
+                })
+            })
+            .collect();
+        let per_client: Vec<usize> = rep.outcomes.iter().map(Vec::len).collect();
+        let spans = sti_obs::chrome_trace_json(&rep.spans, sti_obs::TrackFilter::Deterministic);
+        (outcomes, per_client, rep.rejected_clients.clone(), rep.contention.clone(), spans)
+    }
+
+    #[test]
+    fn event_replay_reports_are_identical_for_any_helper_count() {
+        let c = ctx();
+        let base = ServeConfig { target: SimTime::from_ms(300), preload_bytes: 0, ..cfg() };
+        let queue = BackpressureMode::Queue(SimTime::from_ms(2_000));
+        let fixtures = [
+            (
+                include_str!("../../../examples/traces/smoke.json"),
+                ServeConfig { backpressure: queue, ..base.clone() },
+            ),
+            (
+                include_str!("../../../examples/traces/burst.json"),
+                ServeConfig { backpressure: BackpressureMode::Shed, ..base.clone() },
+            ),
+            (
+                include_str!("../../../examples/traces/mix.json"),
+                ServeConfig {
+                    backpressure: queue,
+                    batch_window: Some(SimTime::from_us(500)),
+                    plan_sharing: PreloadPolicy::SharingAware,
+                    ..base.clone()
+                },
+            ),
+            (
+                include_str!("../../../examples/traces/recurrent.json"),
+                ServeConfig {
+                    shard_cache_bytes: 1 << 10,
+                    dram_residency: true,
+                    prefetch: PrefetchConfig::markov(64 << 10),
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (i, (text, cfg)) in fixtures.iter().enumerate() {
+            let trace = crate::trace_file::parse_trace(text).expect("shipped fixture parses");
+            let solo = replay_event_with(&build_server(&c, cfg), &trace, 0).unwrap();
+            assert!(solo.outcomes.iter().any(|o| !o.is_empty()), "fixture {i} serves something");
+            let sequential = replay_sequential(&build_server(&c, cfg), &trace).unwrap();
+            assert_eq!(solo.outcomes, sequential.outcomes, "fixture {i}: engine-thread compute");
+            let want = deterministic_view(&solo);
+            for helpers in [1, 3] {
+                let pooled = replay_event_with(&build_server(&c, cfg), &trace, helpers).unwrap();
+                assert_eq!(deterministic_view(&pooled), want, "fixture {i}, {helpers} helpers");
+                assert_eq!(pooled.heap_ops, solo.heap_ops, "fixture {i}, {helpers} helpers");
+            }
+        }
     }
 }

@@ -127,7 +127,9 @@ impl PreloadBuffer {
 /// layout of a [`PackedLayer`]; [`WorkingBuffer::forward`] then runs the
 /// layer with the width-fused kernel (bit-identical to the per-head
 /// composition, see [`PackedLayer`]). The decode buffer, the packed weights
-/// and the activation scratch are all reused from layer to layer.
+/// and the activation scratch are all reused from layer to layer — and,
+/// when a host keeps one buffer per compute thread, from engagement to
+/// engagement ([`WorkingBuffer::reset_peak`] keeps the peak per engagement).
 #[derive(Debug)]
 pub struct WorkingBuffer {
     cfg: ModelConfig,
@@ -145,41 +147,54 @@ impl WorkingBuffer {
         Self { cfg, decoded, layer, scratch: LayerScratch::default(), peak_shards: 0 }
     }
 
-    /// Decompresses a layer's blobs — the weights of slices `slice_idxs`,
-    /// in matching order — into the packed layer; `resident` is that
-    /// layer's resident parameters (the FFN1 bias segments are packed too).
+    /// Checks that `blobs` can be assembled for a layer of `slices` slices
+    /// of a model shaped `cfg`: one blob per slice, each holding exactly one
+    /// shard's weights. Executors check every layer when an engagement
+    /// settles, so the forward pass ([`WorkingBuffer::assemble`] onwards)
+    /// never meets a malformed layer.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::PlanMismatch`] if a blob's length disagrees
     /// with the configured shard size or the blob and slice counts differ.
+    pub fn check(
+        cfg: &ModelConfig,
+        blobs: &[&QuantizedBlob],
+        slices: usize,
+    ) -> Result<(), PipelineError> {
+        if blobs.len() != slices {
+            return Err(PipelineError::PlanMismatch(format!(
+                "{} blobs for {slices} slices",
+                blobs.len()
+            )));
+        }
+        if let Some(blob) = blobs.iter().find(|b| b.len() != cfg.shard_param_count()) {
+            return Err(PipelineError::PlanMismatch(format!(
+                "blob holds {} weights, shard expects {}",
+                blob.len(),
+                cfg.shard_param_count()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Decompresses a layer's blobs — the weights of slices `slice_idxs`,
+    /// in matching order — into the packed layer; `resident` is that
+    /// layer's resident parameters (the FFN1 bias segments are packed too).
+    /// The blobs must pass [`WorkingBuffer::check`].
     pub fn assemble(
         &mut self,
         blobs: &[&QuantizedBlob],
         slice_idxs: &[usize],
         resident: &LayerResident,
-    ) -> Result<(), PipelineError> {
-        if blobs.len() != slice_idxs.len() {
-            return Err(PipelineError::PlanMismatch(format!(
-                "{} blobs for {} slices",
-                blobs.len(),
-                slice_idxs.len()
-            )));
-        }
-        if let Some(blob) = blobs.iter().find(|b| b.len() != self.cfg.shard_param_count()) {
-            return Err(PipelineError::PlanMismatch(format!(
-                "blob holds {} weights, shard expects {}",
-                blob.len(),
-                self.cfg.shard_param_count()
-            )));
-        }
+    ) {
+        debug_assert!(Self::check(&self.cfg, blobs, slice_idxs.len()).is_ok());
         self.layer.reset(slice_idxs, &resident.bias_ffn1);
         for (slot, blob) in blobs.iter().enumerate() {
             blob.dequantize_into(&mut self.decoded);
             self.layer.set_slot_flat(slot, &self.decoded);
         }
         self.peak_shards = self.peak_shards.max(blobs.len());
-        Ok(())
     }
 
     /// Runs the last assembled layer over `x` in place; `resident` must be
@@ -189,9 +204,17 @@ impl WorkingBuffer {
         self.layer.forward(x, resident, &mut self.scratch);
     }
 
-    /// Peak bytes of decompressed weights held for any single layer so far.
+    /// Peak bytes of decompressed weights held for any single layer since
+    /// the buffer was created or last [`WorkingBuffer::reset_peak`].
     pub fn peak_bytes(&self) -> usize {
         self.peak_shards * self.cfg.shard_fp32_bytes()
+    }
+
+    /// Starts a new peak window: executors call this at the start of every
+    /// engagement, so a buffer reused across engagements still reports each
+    /// engagement's own peak.
+    pub fn reset_peak(&mut self) {
+        self.peak_shards = 0;
     }
 }
 
@@ -266,7 +289,7 @@ mod tests {
         let b = QuantizedBlob::quantize(&flat, Bitwidth::Full, &QuantConfig::default());
         let resident = &model.layers()[0].resident;
         let mut wb = WorkingBuffer::new(cfg.clone());
-        wb.assemble(&[&b], &[1], resident).unwrap();
+        wb.assemble(&[&b], &[1], resident);
         let x = model.embedding().embed(&[4, 2]);
         let mut got = x.clone();
         wb.forward(&mut got, resident);
@@ -281,25 +304,49 @@ mod tests {
     }
 
     #[test]
-    fn working_buffer_rejects_wrong_size_blobs() {
+    fn check_rejects_wrong_size_blobs() {
         let cfg = ModelConfig::tiny();
         let other = ModelConfig { hidden: 16, ffn: 32, ..ModelConfig::tiny() };
         let b = blob(&other, 1, Bitwidth::B2);
-        let resident = LayerResident::identity(&cfg);
-        let mut wb = WorkingBuffer::new(cfg);
-        assert!(matches!(wb.assemble(&[&b], &[0], &resident), Err(PipelineError::PlanMismatch(_))));
+        let err = WorkingBuffer::check(&cfg, &[&b], 1).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)));
+        assert!(WorkingBuffer::check(&cfg, &[&blob(&cfg, 1, Bitwidth::B2)], 1).is_ok());
     }
 
     #[test]
-    fn working_buffer_rejects_slice_count_mismatch() {
+    fn check_rejects_slice_count_mismatch() {
         let cfg = ModelConfig::tiny();
         let b = blob(&cfg, 1, Bitwidth::B2);
-        let resident = LayerResident::identity(&cfg);
-        let mut wb = WorkingBuffer::new(cfg);
-        assert!(matches!(
-            wb.assemble(&[&b], &[0, 1], &resident),
-            Err(PipelineError::PlanMismatch(_))
-        ));
+        let err = WorkingBuffer::check(&cfg, &[&b], 2).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)));
+    }
+
+    #[test]
+    fn reset_peak_starts_a_new_window_without_changing_results() {
+        let cfg = ModelConfig::tiny();
+        let model = Model::synthetic(5, cfg.clone());
+        let resident = &model.layers()[0].resident;
+        let blobs: Vec<QuantizedBlob> =
+            (0..cfg.heads as u16).map(|s| blob(&cfg, 10 + s as u64, Bitwidth::B4)).collect();
+        let refs: Vec<&QuantizedBlob> = blobs.iter().collect();
+        let all: Vec<usize> = (0..cfg.heads).collect();
+        let run = |wb: &mut WorkingBuffer, width: usize| {
+            wb.reset_peak();
+            wb.assemble(&refs[..width], &all[..width], resident);
+            let mut x = model.embedding().embed(&[3, 1, 4]);
+            wb.forward(&mut x, resident);
+            (x, wb.peak_bytes())
+        };
+        // One buffer across a wide then a narrow engagement reports the
+        // narrow one's own peak and the same activations as a fresh buffer.
+        let mut reused = WorkingBuffer::new(cfg.clone());
+        let (_, wide_peak) = run(&mut reused, cfg.heads);
+        assert_eq!(wide_peak, cfg.heads * cfg.shard_fp32_bytes());
+        let (x_reused, narrow_peak) = run(&mut reused, 1);
+        assert_eq!(narrow_peak, cfg.shard_fp32_bytes(), "the wide engagement must not leak");
+        let (x_fresh, fresh_peak) = run(&mut WorkingBuffer::new(cfg.clone()), 1);
+        assert_eq!(narrow_peak, fresh_peak);
+        assert_eq!(x_reused, x_fresh);
     }
 
     #[test]
@@ -311,7 +358,7 @@ mod tests {
         let slices: Vec<usize> = (0..cfg.heads).collect();
         for _ in 0..10 {
             let blobs: Vec<&QuantizedBlob> = (0..cfg.heads).map(|_| &b).collect();
-            wb.assemble(&blobs, &slices, &resident).unwrap();
+            wb.assemble(&blobs, &slices, &resident);
         }
         assert_eq!(wb.peak_bytes(), cfg.heads * cfg.shard_fp32_bytes());
     }

@@ -4,19 +4,25 @@
 //! selected shard versions arrive as one IO job on the IO thread (started as
 //! early as possible, never reordered — AIB planning already guarantees
 //! arrival order matches execution order), are decompressed into the working
-//! buffer, and computed while later layers' IO streams in. Preloaded shards
-//! skip IO entirely.
+//! buffer, and computed. Preloaded shards skip IO entirely.
 //!
 //! Computation is *real* (actual forward passes over dequantized weights);
-//! the per-layer timeline is accounted in simulated device time so that
-//! latency results are deterministic and host-independent.
+//! the per-layer timeline — IO overlapped with compute — is accounted in
+//! simulated device time so that latency results are deterministic and
+//! host-independent. Because the timeline never reads a host clock, an
+//! engagement runs in three parts that hosts may schedule apart:
+//! [`PipelineExecutor::issue_on`] queues the IO,
+//! [`PipelineExecutor::receive_on`] *settles* it (receives every layer,
+//! checks every shard, prices the timeline and the streamed bytes), and
+//! [`PipelineExecutor::compute`] runs the forward pass, pure and
+//! infallible, on any thread.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sti_device::{FlashModel, HwProfile, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
-use sti_planner::ExecutionPlan;
+use sti_planner::{ExecutionPlan, PlannedLayer};
 use sti_quant::QuantizedBlob;
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
@@ -116,15 +122,19 @@ impl<'a> PipelineExecutor<'a> {
         preload: &PreloadBuffer,
         tokens: &[u32],
     ) -> Result<ExecutionOutcome, PipelineError> {
+        let start = std::time::Instant::now();
         let has_request = self.issue_on(channel, plan, preload)?;
-        self.complete_on(channel, plan, preload, tokens, &has_request)
+        let received = self.receive_on(channel, plan, preload, &has_request)?;
+        let mut working = WorkingBuffer::new(self.model.config().clone());
+        let computed = self.compute(plan, preload, &received, tokens, &mut working);
+        Ok(ExecutionOutcome::from_halves(received, computed, start.elapsed()))
     }
 
     /// The issue half of [`PipelineExecutor::execute_on`]: queues every
     /// streamed layer's IO on `channel` up front (the channel services them
     /// back-to-back in FIFO order, exactly like the single IO channel of
     /// the schedule model) and returns the per-layer "did this layer issue
-    /// a request" mask that [`PipelineExecutor::complete_on`] consumes.
+    /// a request" mask that [`PipelineExecutor::receive_on`] consumes.
     /// Event-driven hosts call the halves separately so a whole wave of
     /// engagements can enqueue before the flash component services any of
     /// it.
@@ -160,32 +170,35 @@ impl<'a> PipelineExecutor<'a> {
         Ok(has_request)
     }
 
-    /// The compute half of [`PipelineExecutor::execute_on`]: receives each
-    /// issued layer's completion off `channel` (in issue order) and runs
-    /// the forward pass over it. `has_request` is
+    /// The settle half of an engagement's completion: receives each issued
+    /// layer off `channel` (in issue order), checks that every planned
+    /// shard is present — in the preload buffer or among the received
+    /// blobs — with the shard length the model expects, and accounts the
+    /// simulated timeline and streamed bytes. `has_request` is
     /// [`PipelineExecutor::issue_on`]'s mask for the same `(channel, plan,
     /// preload)` triple.
+    ///
+    /// Everything the simulated clock reads is settled here; the forward
+    /// pass ([`PipelineExecutor::compute`]) reads nothing this returns
+    /// except the blobs, and can therefore run later, on any thread.
     ///
     /// # Errors
     ///
     /// Fails if a shard is missing from both the preload buffer and the
-    /// store, or storage reads fail.
-    pub fn complete_on(
+    /// store, a blob has the wrong length, or storage reads fail.
+    pub fn receive_on(
         &self,
         channel: &IoChannel,
         plan: &ExecutionPlan,
         preload: &PreloadBuffer,
-        tokens: &[u32],
         has_request: &[bool],
-    ) -> Result<ExecutionOutcome, PipelineError> {
-        let start = std::time::Instant::now();
-        let mut working = WorkingBuffer::new(self.model.config().clone());
-        let mut x = self.model.embedding().embed(tokens);
+    ) -> Result<Received, PipelineError> {
+        let cfg = self.model.config();
+        let mut layers = Vec::with_capacity(plan.layers.len());
         let mut timings = Vec::with_capacity(plan.layers.len());
         let mut loaded_bytes = 0u64;
-
         for (l, pl) in plan.layers.iter().enumerate() {
-            let (owned, io_delay) = if has_request[l] {
+            let (blobs, io_delay) = if has_request[l] {
                 let loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
                 loaded_bytes += loaded.bytes;
@@ -196,45 +209,123 @@ impl<'a> PipelineExecutor<'a> {
             } else {
                 (HashMap::new(), SimTime::ZERO)
             };
-
-            let mut blob_refs: Vec<&QuantizedBlob> = Vec::with_capacity(pl.slices.len());
-            for &slice in &pl.slices {
-                let id = ShardId::new(pl.layer, slice);
-                let blob = preload
-                    .get(id)
-                    .or_else(|| owned.get(&slice).map(Arc::as_ref))
-                    .ok_or_else(|| {
-                        PipelineError::PlanMismatch(format!(
-                            "shard {id} neither preloaded nor loaded"
-                        ))
-                    })?;
-                blob_refs.push(blob);
-            }
-
-            let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
-            let resident = &self.model.layers()[l].resident;
-            working.assemble(&blob_refs, &slice_idxs, resident)?;
-            working.forward(&mut x, resident);
-
+            let refs = layer_blobs(pl, preload, &blobs).map_err(|id| {
+                PipelineError::PlanMismatch(format!("shard {id} neither preloaded nor loaded"))
+            })?;
+            WorkingBuffer::check(cfg, &refs, pl.slices.len())?;
+            layers.push(blobs);
             timings.push(LayerTiming { io: io_delay, comp: self.hw.t_comp(pl.slices.len()) });
         }
-
-        let logits = self.model.classifier().logits(&x);
-        let mut probabilities = logits.clone();
-        softmax_slice(&mut probabilities);
-        let class = argmax(&logits).expect("at least one class");
         let timeline = simulate_pipeline(&timings, SimTime::ZERO);
-
-        Ok(ExecutionOutcome {
-            logits,
-            class,
-            probabilities,
-            timeline,
-            loaded_bytes,
-            peak_working_bytes: working.peak_bytes(),
-            wall: start.elapsed(),
-        })
+        Ok(Received { layers, timeline, loaded_bytes })
     }
+
+    /// The compute half of an engagement: embeds `tokens`, assembles and
+    /// runs every planned layer in `working`, and applies the classifier.
+    /// `received` is [`PipelineExecutor::receive_on`]'s result for the same
+    /// `(plan, preload)`, which already checked every shard, so the forward
+    /// pass cannot fail. It is pure — it reads the model, the plan and the
+    /// blobs and writes only `working` — and its result is bit-identical on
+    /// any thread and with any previously used working buffer.
+    pub fn compute(
+        &self,
+        plan: &ExecutionPlan,
+        preload: &PreloadBuffer,
+        received: &Received,
+        tokens: &[u32],
+        working: &mut WorkingBuffer,
+    ) -> Computed {
+        compute(self.model, plan, preload, &received.layers, tokens, working)
+    }
+}
+
+/// What [`PipelineExecutor::receive_on`] settles for one engagement: the
+/// received shard blobs plus everything the simulated clock reads.
+#[derive(Debug)]
+pub struct Received {
+    /// Per plan layer, the blobs the IO channel delivered, keyed by slice
+    /// (empty for fully preloaded layers).
+    pub(crate) layers: Vec<HashMap<u16, Arc<QuantizedBlob>>>,
+    /// Simulated per-layer timeline (IO, stalls, makespan).
+    pub timeline: SchedulePrediction,
+    /// Bytes streamed from storage (excludes preloaded shards).
+    pub loaded_bytes: u64,
+}
+
+/// What [`PipelineExecutor::compute`] produces for one engagement.
+#[derive(Debug)]
+pub struct Computed {
+    /// Raw class logits.
+    pub logits: Vec<f32>,
+    /// Predicted class (argmax).
+    pub class: usize,
+    /// Softmax probabilities.
+    pub probabilities: Vec<f32>,
+    /// Peak decompressed bytes the working buffer held for this engagement.
+    pub peak_working_bytes: usize,
+}
+
+impl ExecutionOutcome {
+    /// Joins an engagement's settle and compute halves.
+    pub(crate) fn from_halves(
+        received: Received,
+        computed: Computed,
+        wall: std::time::Duration,
+    ) -> Self {
+        Self {
+            logits: computed.logits,
+            class: computed.class,
+            probabilities: computed.probabilities,
+            timeline: received.timeline,
+            loaded_bytes: received.loaded_bytes,
+            peak_working_bytes: computed.peak_working_bytes,
+            wall,
+        }
+    }
+}
+
+/// Layer `pl`'s blobs in slice order: each from the preload buffer when
+/// resident, else from the blobs received for the layer. Errs with the
+/// first shard found in neither.
+fn layer_blobs<'b>(
+    pl: &PlannedLayer,
+    preload: &'b PreloadBuffer,
+    received: &'b HashMap<u16, Arc<QuantizedBlob>>,
+) -> Result<Vec<&'b QuantizedBlob>, ShardId> {
+    pl.slices
+        .iter()
+        .map(|&slice| {
+            let id = ShardId::new(pl.layer, slice);
+            preload.get(id).or_else(|| received.get(&slice).map(Arc::as_ref)).ok_or(id)
+        })
+        .collect()
+}
+
+/// The one forward pass every execution path runs (see
+/// [`PipelineExecutor::compute`]); `layers` are [`Received::layers`].
+pub(crate) fn compute(
+    model: &Model,
+    plan: &ExecutionPlan,
+    preload: &PreloadBuffer,
+    layers: &[HashMap<u16, Arc<QuantizedBlob>>],
+    tokens: &[u32],
+    working: &mut WorkingBuffer,
+) -> Computed {
+    working.reset_peak();
+    let mut x = model.embedding().embed(tokens);
+    for (l, (pl, received)) in plan.layers.iter().zip(layers).enumerate() {
+        let blobs =
+            layer_blobs(pl, preload, received).expect("settled engagements hold every shard");
+        let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
+        let resident = &model.layers()[l].resident;
+        working.assemble(&blobs, &slice_idxs, resident);
+        working.forward(&mut x, resident);
+    }
+    let logits = model.classifier().logits(&x);
+    let mut probabilities = logits.clone();
+    softmax_slice(&mut probabilities);
+    let class = argmax(&logits).expect("at least one class");
+    Computed { logits, class, probabilities, peak_working_bytes: working.peak_bytes() }
 }
 
 /// Materializes a plan's full submodel as dequantized weights, taking each

@@ -28,7 +28,11 @@
 //! - [`executor`] — the pipeline executor: real threads, real storage reads,
 //!   real forward passes, with the simulated-time timeline accounted per
 //!   layer; [`executor::PipelineExecutor::execute_on`] borrows an IO lane
-//!   from a shared scheduler instead of constructing per-run IO state;
+//!   from a shared scheduler instead of constructing per-run IO state, and
+//!   splits completion into a settle half (`receive_on`: every layer
+//!   received, checked and priced) and a pure compute half (`compute`) —
+//!   the split [`server::Session::infer_settle`] and
+//!   [`server::ComputeJob`] expose to serving hosts;
 //! - [`engine`] / [`server`] — the facades above.
 
 #![forbid(unsafe_code)]
@@ -45,10 +49,10 @@ pub mod trace;
 pub use buffers::{PreloadBuffer, WorkingBuffer};
 pub use engine::{GenerationOutcome, Inference, StiEngine, StiEngineBuilder};
 pub use error::PipelineError;
-pub use executor::{ExecutionOutcome, PipelineExecutor};
+pub use executor::{Computed, ExecutionOutcome, PipelineExecutor, Received};
 pub use registry::ShardedRegistry;
 pub use server::{
-    AdmissionMode, BackpressureMode, ContentionReport, EngagementContention, GateDecision,
-    GateReason, PendingEngagement, PrefetchContention, PrefetchReport, ServingStats, Session,
-    StiServer, StiServerBuilder,
+    AdmissionMode, BackpressureMode, ComputeJob, ContentionReport, EngagementContention,
+    GateDecision, GateReason, PendingEngagement, PrefetchContention, PrefetchReport, ServingStats,
+    Session, StiServer, StiServerBuilder,
 };

@@ -117,7 +117,7 @@ use sti_planner::prefetch::{
 use sti_planner::serving::{ServingPlan, ServingPlanCache, ServingPlanKey};
 use sti_planner::{
     align_io_completions, contended_makespan, plan_two_stage, CoRunnerLoad, ExecutionPlan,
-    ImportanceProfile, IoSharing, PlanCache, PlanCacheStats, PlanKey,
+    ImportanceProfile, IoSharing, PlanCache, PlanCacheStats, PlanKey, SchedulePrediction,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
@@ -127,10 +127,12 @@ use sti_storage::{
 };
 use sti_transformer::{Model, ShardId};
 
-use crate::buffers::PreloadBuffer;
+use crate::buffers::{PreloadBuffer, WorkingBuffer};
 use crate::engine::{GenerationOutcome, Inference};
 use crate::error::PipelineError;
-use crate::executor::{assemble_plan_submodel, PipelineExecutor};
+use crate::executor::{
+    assemble_plan_submodel, compute, Computed, ExecutionOutcome, PipelineExecutor, Received,
+};
 use crate::registry::ShardedRegistry;
 
 /// What the server does with an engagement whose best SLO-aware plan still
@@ -1069,6 +1071,10 @@ impl ServerInner {
     fn mix(&self, exclude: Option<u64>) -> ServingMix {
         self.live_mix.merged_excluding(exclude)
     }
+
+    fn working_buffer(&self) -> WorkingBuffer {
+        WorkingBuffer::new(self.model.config().clone())
+    }
 }
 
 /// A multi-session serving runtime: owns the model and every shareable
@@ -1338,6 +1344,12 @@ impl StiServer {
             issue_gap: SimTime::ZERO,
             engagement_seq: AtomicU64::new(0),
         })
+    }
+
+    /// A working buffer shaped for this server's model — the scratch a
+    /// host thread hands to [`ComputeJob::run`] and reuses across jobs.
+    pub fn working_buffer(&self) -> WorkingBuffer {
+        self.inner.working_buffer()
     }
 
     /// The model's resident parameters in bytes (shared across all
@@ -1902,7 +1914,7 @@ impl Drop for ChannelGuard {
 /// dropping a pending engagement without completing it cleans up exactly
 /// like an errored `infer` — the channel is torn down and the counters
 /// settle. The type is opaque: its only use is to be handed back to
-/// `infer_complete` on the session that issued it.
+/// `infer_complete` (or `infer_settle`) on the session that issued it.
 pub struct PendingEngagement {
     channel: IoChannel,
     /// Per-layer: whether the issue half enqueued a request for the layer
@@ -1916,6 +1928,49 @@ pub struct PendingEngagement {
     tokens: Vec<u32>,
     _active: ActiveGuard,
     _channel: ChannelGuard,
+}
+
+/// A settled engagement's forward pass, owned and ready to run on any
+/// thread: the output of [`Session::infer_settle`].
+///
+/// The job holds `Arc`s to the server's model, the session's plan and
+/// preload buffer, the received shard blobs, and the tokens; running it
+/// touches no server state, so jobs run in any order, concurrently, and
+/// on any working buffer with bit-identical results.
+pub struct ComputeJob {
+    inner: Arc<ServerInner>,
+    plan: Arc<ExecutionPlan>,
+    preload: Arc<PreloadBuffer>,
+    received: Received,
+    tokens: Vec<u32>,
+}
+
+impl ComputeJob {
+    /// The engagement's simulated per-layer timeline (settled already).
+    pub fn timeline(&self) -> &SchedulePrediction {
+        &self.received.timeline
+    }
+
+    /// Bytes the engagement streamed from storage (settled already).
+    pub fn loaded_bytes(&self) -> u64 {
+        self.received.loaded_bytes
+    }
+
+    /// Runs the forward pass — embed, assemble and run every layer in
+    /// `working`, classify, softmax — through the executor's one compute
+    /// function ([`PipelineExecutor::compute`]). `working` must come from
+    /// the same server ([`StiServer::working_buffer`]); a host keeps one
+    /// per compute thread and reuses it across jobs.
+    pub fn run(&self, working: &mut WorkingBuffer) -> Computed {
+        compute(
+            &self.inner.model,
+            &self.plan,
+            &self.preload,
+            &self.received.layers,
+            &self.tokens,
+            working,
+        )
+    }
 }
 
 impl Session {
@@ -2322,30 +2377,59 @@ impl Session {
         })
     }
 
-    /// The **complete half** of [`Session::infer`]: receives every layer
-    /// the issue half requested, runs the forward pass, and lands the
-    /// engagement on both accounting tracks. Blocks until the scheduler
-    /// delivers the requested layers — under the event-driven executor the
-    /// host drives the queue dry before calling this, so it never waits.
+    /// The **complete half** of [`Session::infer`]: exactly
+    /// [`Session::infer_settle`] followed by [`ComputeJob::run`] on a fresh
+    /// working buffer. Blocks until the scheduler delivers the requested
+    /// layers — under the event-driven executor the host drives the queue
+    /// dry before completing, so it never waits.
     ///
     /// # Errors
     ///
     /// Fails on storage errors or plan/model mismatch.
     pub fn infer_complete(&self, pending: PendingEngagement) -> Result<Inference, PipelineError> {
+        let start = std::time::Instant::now();
+        let job = self.infer_settle(pending)?;
+        let computed = job.run(&mut self.inner.working_buffer());
+        let ComputeJob { plan, received, .. } = job;
+        Ok(Inference {
+            class: computed.class,
+            probabilities: computed.probabilities.clone(),
+            submodel: plan.shape,
+            outcome: ExecutionOutcome::from_halves(received, computed, start.elapsed()),
+        })
+    }
+
+    /// The **settle** part of completing an engagement — everything
+    /// [`Session::infer_complete`] does except the forward pass, in the same
+    /// order: receives every layer the issue half requested, checks that
+    /// every planned shard is present with the right length
+    /// ([`PipelineExecutor::receive_on`]), accounts the simulated timeline
+    /// and streamed bytes, lands the engagement on the contended track,
+    /// feeds the prefetcher, and releases the engagement's IO lane and
+    /// in-flight accounting.
+    ///
+    /// What remains is the returned [`ComputeJob`]: the forward pass, pure
+    /// and infallible. Nothing the simulated clock, the gate or the
+    /// prefetcher reads depends on its result, so a host may run it later
+    /// and on another thread ([`ComputeJob::run`]) without changing any
+    /// simulated outcome.
+    ///
+    /// # Errors
+    ///
+    /// Fails on storage errors or plan/model mismatch.
+    pub fn infer_settle(&self, pending: PendingEngagement) -> Result<ComputeJob, PipelineError> {
         let inner = &*self.inner;
-        let executor = self.executor();
-        let outcome = executor.complete_on(
+        let received = self.executor().receive_on(
             &pending.channel,
             &self.plan,
             &self.preload,
-            &pending.tokens,
             &pending.has_request,
         )?;
 
         // Contended-track record: which layers streamed (an IO span in the
         // timeline) and the uniform per-layer compute delay.
         let layer_has_io: Vec<bool> =
-            outcome.timeline.layers.iter().map(|l| l.io_end > l.io_start).collect();
+            received.timeline.layers.iter().map(|l| l.io_end > l.io_start).collect();
         inner.engagement_log.lock().push(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
@@ -2353,7 +2437,7 @@ impl Session {
             issue: pending.issue,
             layer_has_io,
             comp: inner.hw.t_comp(self.plan.shape.width),
-            uncontended: outcome.timeline.makespan,
+            uncontended: received.timeline.makespan,
         });
         inner.ins.engagements.incr();
 
@@ -2361,14 +2445,16 @@ impl Session {
         // records: the observation (and any speculation it triggers) is
         // invisible to this engagement's own outcome by construction.
         if let Some(pf) = &inner.prefetch {
-            self.prefetch_observe(pf, pending.issue + outcome.timeline.makespan);
+            self.prefetch_observe(pf, pending.issue + received.timeline.makespan);
         }
 
-        Ok(Inference {
-            class: outcome.class,
-            probabilities: outcome.probabilities.clone(),
-            submodel: self.plan.shape,
-            outcome,
+        let PendingEngagement { tokens, .. } = pending;
+        Ok(ComputeJob {
+            inner: self.inner.clone(),
+            plan: self.plan.clone(),
+            preload: self.preload.clone(),
+            received,
+            tokens,
         })
     }
 

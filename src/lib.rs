@@ -57,6 +57,27 @@
 //! caches every dev example's input to every layer from one baseline pass,
 //! and starts probe `(l, s)` at layer `l`.
 //!
+//! ## Settle, then compute: the forward pass off the engine thread
+//!
+//! Completing an engagement has two parts. **Settle**
+//! ([`prelude::Session::infer_settle`]) receives every streamed layer,
+//! checks each planned shard, prices the simulated timeline and streamed
+//! bytes, lands the engagement on the contended track and feeds the
+//! prefetcher. **Compute** (`ComputeJob::run`) is the forward pass: pure,
+//! infallible, and owned, so it may run later and on another thread.
+//! Nothing the simulated clock, the gate or the prefetcher reads depends on
+//! logits, so splitting the two changes no simulated result.
+//! `Session::infer_complete` is settle followed by compute, and every
+//! replay path runs the same compute function. The discrete-event replay
+//! ([`prelude::replay_event`]) settles on its single engine thread and
+//! hands each forward pass to a bounded queue drained by
+//! `available_parallelism() − 1` scoped helper threads. When the queue is
+//! full, and once the engine stops, the engine thread runs jobs itself, so
+//! a one-core host spawns no helper. Results fill their `(client, k)`
+//! outcome slots, so reports are bit-identical for any helper count. The
+//! engine itself stays single-threaded: parallel discrete-event execution
+//! is a separate, still-parked idea.
+//!
 //! ## Serving quickstart
 //!
 //! ```

@@ -8,7 +8,7 @@ use sti::prelude::*;
 use sti_pipeline::{PipelineExecutor, PreloadBuffer};
 use sti_planner::{plan_two_stage, ImportanceProfile};
 use sti_storage::manifest::Manifest;
-use sti_storage::StorageError;
+use sti_storage::{ShardSource, StorageError};
 
 fn setup() -> (Task, DeviceProfile, HwProfile, ImportanceProfile) {
     let cfg = ModelConfig::tiny();
@@ -239,4 +239,148 @@ fn engine_survives_budget_shrink_to_zero() {
     // Cold-start inference still works.
     let inf = engine.infer(&[9, 1]).unwrap();
     assert!(inf.class < 2);
+}
+
+/// A disk store whose layer-0 files are deleted once `after` shard loads
+/// have been served — a layer file vanishing mid-replay — and written
+/// back by [`VanishingLayer::restore`].
+struct VanishingLayer {
+    store: ShardStore,
+    files: Vec<(std::path::PathBuf, Vec<u8>)>,
+    loads: std::sync::atomic::AtomicUsize,
+    after: std::sync::atomic::AtomicUsize,
+}
+
+impl VanishingLayer {
+    fn new(dir: &std::path::Path, model: &Model, after: usize) -> Self {
+        let _ = std::fs::remove_dir_all(dir);
+        let store =
+            ShardStore::create(dir, model, &Bitwidth::ALL, &QuantConfig::default()).unwrap();
+        let files = Bitwidth::ALL
+            .iter()
+            .map(|&bw| dir.join(Manifest::layer_file_name(0, bw)))
+            .filter(|path| path.exists())
+            .map(|path| {
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        Self { store, files, loads: 0.into(), after: after.into() }
+    }
+
+    fn loads(&self) -> usize {
+        self.loads.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// Puts the deleted files back and disarms the fault.
+    fn restore(&self) {
+        self.after.store(usize::MAX, std::sync::atomic::Ordering::SeqCst);
+        for (path, bytes) in &self.files {
+            std::fs::write(path, bytes).unwrap();
+        }
+    }
+}
+
+impl ShardSource for VanishingLayer {
+    fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+        let n = self.loads.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+        if n == self.after.load(std::sync::atomic::Ordering::SeqCst) {
+            for (path, _) in &self.files {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        self.store.load(key)
+    }
+
+    fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+        self.store.size_bytes(key)
+    }
+}
+
+#[test]
+fn mid_replay_flash_error_under_the_compute_pool_fails_cleanly_and_the_server_recovers() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (task, device, hw, importance) = setup();
+    let server_on = |source: Arc<VanishingLayer>| {
+        StiServer::builder(
+            task.model().clone(),
+            source,
+            hw.clone(),
+            device.flash,
+            importance.clone(),
+        )
+        .target(SimTime::from_ms(400))
+        .preload_budget(0)
+        .widths(&[2, 4])
+        // No shard cache: every engagement reads its layers from disk.
+        .shard_cache_bytes(0)
+        .build()
+    };
+    let examples = task.test().examples();
+    let trace = ServingTrace {
+        clients: (0..4)
+            .map(|c| ClientTrace {
+                target: SimTime::from_ms(400),
+                preload_bytes: 0,
+                slo: None,
+                arrival: SimTime::from_us(c as u64 * 50),
+                idle: SimTime::ZERO,
+                engagements: (0..4)
+                    .map(|e| examples[(c * 4 + e) % examples.len()].tokens.clone())
+                    .collect(),
+            })
+            .collect(),
+    };
+    let dir = |tag: &str| {
+        std::env::temp_dir().join(format!("sti-failinj-pool-{tag}-{}", std::process::id()))
+    };
+
+    // A healthy sequential replay counts the loads; the fault fires halfway.
+    let healthy_dir = dir("healthy");
+    let healthy = Arc::new(VanishingLayer::new(&healthy_dir, task.model(), usize::MAX));
+    let want = replay_sequential(&server_on(healthy.clone()), &trace).unwrap();
+    let after = healthy.loads() / 2;
+    assert!(after > 4, "the fault must strike after several engagements");
+    std::fs::remove_dir_all(&healthy_dir).unwrap();
+
+    let seq_dir = dir("sequential");
+    let seq_err = replay_sequential(
+        &server_on(Arc::new(VanishingLayer::new(&seq_dir, task.model(), after))),
+        &trace,
+    )
+    .unwrap_err();
+    std::fs::remove_dir_all(&seq_dir).unwrap();
+
+    // The event replay runs on its own thread so a hang (an unjoined helper
+    // or a blocked sender) fails the test instead of stalling it.
+    let event_dir = dir("event");
+    let source = Arc::new(VanishingLayer::new(&event_dir, task.model(), after));
+    let server = server_on(source.clone());
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let failed = replay_event(&server, &trace);
+        tx.send(()).unwrap();
+        (server, trace, failed)
+    });
+    rx.recv_timeout(Duration::from_secs(120)).expect("replay_event hung after a flash error");
+    let (server, trace, failed) = worker.join().unwrap();
+    let event_err = failed.unwrap_err();
+    assert!(
+        matches!(event_err, PipelineError::Storage(StorageError::Io(_))),
+        "unexpected error: {event_err}"
+    );
+    assert!(
+        matches!(seq_err, PipelineError::Storage(StorageError::Io(_))),
+        "unexpected error: {seq_err}"
+    );
+
+    // IO resumed: with the file back, the same server serves the trace
+    // exactly as a healthy sequential replay does.
+    source.restore();
+    let again = replay_event(&server, &trace).unwrap();
+    assert_eq!(again.outcomes, want.outcomes);
+    assert_eq!(again.rejected_clients, want.rejected_clients);
+    std::fs::remove_dir_all(&event_dir).unwrap();
 }
